@@ -13,14 +13,24 @@ reproduces both distortions:
 
 DIADS only ever reads the bucketed, noisy view — never the raw values — just
 like the real tool only sees what IBM TPC recorded.
+
+Storage is columnar: each ``(component_id, metric)`` series keeps its raw
+pushes in two ``array('d')`` columns plus a memo of its bucketed view.  A
+bucket is *closed* once a push lands in a later bucket; closed buckets are
+computed once and never again, unless a late push lands in one (an
+out-of-order append), which drops that series' memo and rebuilds it in full.
+Reads therefore only compute what arrived since the last read, and the view
+is bit-identical to bucketing all raw pushes from scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -32,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Sample", "MetricStore"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One monitored observation."""
 
@@ -51,6 +61,45 @@ def _bucket_noise(seed: int, key: tuple[str, str], bucket: int, sigma: float) ->
     return float(max(rng.normal(loc=1.0, scale=sigma), 0.0))
 
 
+class _Column:
+    """One series: its raw pushes and the memo of its bucketed view.
+
+    The memo holds one entry per bucket of ``times[:filled]``, in bucket
+    order: bucket id, midpoint, noise factor and emitted value (bucket mean
+    times noise).  Every entry but the last is a closed bucket; the last is
+    the open bucket, whose raw values so far are kept in ``open_values``.
+    Only the owning :class:`MetricStore` touches a column, under its lock.
+    """
+
+    __slots__ = (
+        "times", "values", "filled", "buckets", "mids", "noises", "vals", "open_values"
+    )
+
+    def __init__(self) -> None:
+        # guarded-by: _cache_lock
+        self.times = array("d")
+        # guarded-by: _cache_lock
+        self.values = array("d")
+        # guarded-by: _cache_lock
+        self.filled = 0  # len(times) when the memo was last brought up to date
+        # guarded-by: _cache_lock
+        self.buckets = array("q")
+        # guarded-by: _cache_lock
+        self.mids = array("d")
+        # guarded-by: _cache_lock
+        self.noises = array("d")
+        # guarded-by: _cache_lock
+        self.vals = array("d")
+        # guarded-by: _cache_lock
+        self.open_values: list[float] = []
+
+    def __eq__(self, other: object) -> bool:
+        """Equal raw pushes; keeps ``MetricStore`` dataclass equality by value."""
+        if not isinstance(other, _Column):
+            return NotImplemented
+        return self.times == other.times and self.values == other.values
+
+
 @dataclass
 class MetricStore:
     """Bucketing, noising metric store keyed by (component_id, metric)."""
@@ -59,14 +108,12 @@ class MetricStore:
     noise_sigma: float = 0.05
     seed: int = 0
     # guarded-by: _cache_lock
-    _raw: dict[tuple[str, str], list[Sample]] = field(default_factory=dict, repr=False)
-    # guarded-by: _cache_lock
-    _cache: dict[tuple[str, str], list[Sample]] = field(default_factory=dict, repr=False)
-    #: Guards lazy _cache fills *and* the append path: concurrent diagnoses
-    #: (diagnose_many) read the store from worker threads while series()
-    #: populates the cache, and streaming supervisors append from other
-    #: worker threads.  Without a locked append, record() could invalidate a
-    #: key concurrently with a series() fill and leave a stale cache behind.
+    _raw: dict[tuple[str, str], _Column] = field(default_factory=dict, repr=False)
+    #: Guards the columns *and* their memos: concurrent diagnoses
+    #: (diagnose_many) read the store from worker threads while a read
+    #: brings a memo up to date, and streaming supervisors append from other
+    #: worker threads.  Without a locked append, a push could land while a
+    #: read is folding the same column and leave a stale memo behind.
     _cache_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -92,7 +139,7 @@ class MetricStore:
 
         Delegates to :meth:`append_many`, so single-sample appends go through
         the exact same locked/journalled path as batches — there is no side
-        door that could skip cache invalidation or the backend journal.
+        door that could skip the backend journal.
         """
         self.append_many(((time, component_id, metric, value),))
 
@@ -105,19 +152,22 @@ class MetricStore:
         whole batch (per-tick collector writes of tens of series stay cheap
         while remaining safe against concurrent :meth:`series` reads),
         journals each observation through the backend, and returns how many
-        were appended.
+        were appended.  Appends only extend the raw columns; the bucketed
+        view catches up on the next read.
         """
         appended = 0
         journal: list[dict] | None = (
             [] if self.backend is not None and not self._replaying else None
         )
         with self._cache_lock:
+            raw = self._raw
             for time, component_id, metric, value in observations:
-                key = (component_id, metric)
-                self._raw.setdefault(key, []).append(
-                    Sample(time=time, value=float(value))
-                )
-                self._cache.pop(key, None)
+                value = float(value)
+                column = raw.get((component_id, metric))
+                if column is None:
+                    column = raw[(component_id, metric)] = _Column()
+                column.times.append(time)
+                column.values.append(value)
                 if journal is not None:
                     journal.append(
                         {
@@ -125,7 +175,7 @@ class MetricStore:
                             "k": f"{component_id}/{metric}",
                             "c": component_id,
                             "m": metric,
-                            "v": float(value),
+                            "v": value,
                         }
                     )
                 appended += 1
@@ -152,47 +202,99 @@ class MetricStore:
         finally:
             self._replaying = False
 
+    def raw_observations(self) -> Iterator[tuple[float, str, str, float]]:
+        """Every raw push as ``(time, component_id, metric, value)``.
+
+        Series in sorted key order, pushes in insertion order.  The columns
+        are copied under the store lock when iteration starts, so the
+        iterator is a consistent snapshot even while appends continue.
+        """
+        with self._cache_lock:
+            snapshot = [
+                (key, self._raw[key].times[:], self._raw[key].values[:])
+                for key in sorted(self._raw)
+            ]
+        for (component_id, metric), times, values in snapshot:
+            for time, value in zip(times, values):
+                yield time, component_id, metric, value
+
     # -- monitored view ----------------------------------------------------
+    def _fill(self, key: tuple[str, str]) -> _Column | None:
+        """Bring one column's memo up to date; the store lock must be held.
+
+        Only pushes after ``filled`` are bucketed, merged into the open
+        bucket's values.  A push into a closed bucket drops the memo and
+        buckets every raw push again.  Noise factors already drawn are
+        reused either way, so each ``(key, bucket)`` draws its noise once.
+        """
+        column = self._raw.get(key)
+        if column is None or column.filled == len(column.times):
+            return column
+        interval = self.interval_s
+        memos = (column.buckets, column.mids, column.noises, column.vals)
+        groups: dict[int, list[float]] = {}
+        noises: dict[int, float] = {}
+        if column.buckets:
+            frontier = column.buckets[-1]
+            start = column.filled
+            fresh = [
+                (int(time // interval), value)
+                for time, value in zip(column.times[start:], column.values[start:])
+            ]
+            if min(bucket for bucket, _ in fresh) < frontier:
+                # A late push landed in a closed bucket: drop the memo.
+                noises = dict(zip(column.buckets, column.noises))
+                for memo in memos:
+                    del memo[:]
+            else:  # reopen only the open bucket
+                noises[frontier] = column.noises[-1]
+                for memo in memos:
+                    memo.pop()
+                groups[frontier] = column.open_values
+                for bucket, value in fresh:
+                    groups.setdefault(bucket, []).append(value)
+        if not groups:
+            for time, value in zip(column.times, column.values):
+                groups.setdefault(int(time // interval), []).append(value)
+        for bucket in sorted(groups):
+            noise = noises.get(bucket)
+            if noise is None:
+                noise = _bucket_noise(self.seed, key, bucket, self.noise_sigma)
+            column.buckets.append(bucket)
+            column.mids.append((bucket + 0.5) * interval)
+            column.noises.append(noise)
+            column.vals.append(float(np.mean(groups[bucket])) * noise)
+        column.open_values = groups[bucket]
+        column.filled = len(column.times)
+        return column
+
     def series(self, component_id: str, metric: str) -> list[Sample]:
         """The bucketed, noisy series DIADS consumes.
 
         Each sample's time is the bucket midpoint; its value is the bucket
         mean of the raw pushes times the bucket's noise factor.
         """
-        key = (component_id, metric)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            raw = self._raw.get(key, [])
-            if not raw:
+            column = self._fill((component_id, metric))
+            if column is None:
                 return []
-            buckets: dict[int, list[float]] = {}
-            for sample in raw:
-                buckets.setdefault(
-                    int(sample.time // self.interval_s), []
-                ).append(sample.value)
-            out = []
-            for bucket in sorted(buckets):
-                mean = float(np.mean(buckets[bucket]))
-                noise = _bucket_noise(self.seed, key, bucket, self.noise_sigma)
-                midpoint = (bucket + 0.5) * self.interval_s
-                out.append(Sample(time=midpoint, value=mean * noise))
-            self._cache[key] = out
-            return out
+            return [Sample(time, value) for time, value in zip(column.mids, column.vals)]
+
+    def _window(self, key: tuple[str, str], start: float, end: float) -> array:
+        """Values of the buckets whose midpoint falls in [start, end]."""
+        with self._cache_lock:
+            column = self._fill(key)
+            # Bisect would treat a NaN bound as open; a scan matches nothing.
+            if column is None or not start <= end:
+                return array("d")
+            lo = bisect_left(column.mids, start)
+            return column.vals[lo:bisect_right(column.mids, end, lo)]
 
     def values_between(
         self, component_id: str, metric: str, start: float, end: float
     ) -> list[float]:
         """Sample values whose bucket midpoint falls in [start, end]."""
-        return [
-            s.value
-            for s in self.series(component_id, metric)
-            if start <= s.time <= end
-        ]
+        return self._window((component_id, metric), start, end).tolist()
 
     def window_mean(
         self, component_id: str, metric: str, start: float, end: float
@@ -202,28 +304,28 @@ class MetricStore:
         When the window is narrower than a sampling bucket, the overlapping
         bucket's value is used — exactly the blur the paper warns about.
         """
-        values = self.values_between(component_id, metric, start, end)
+        key = (component_id, metric)
+        values = self._window(key, start, end)
         if not values:
-            padded = self.values_between(
-                component_id,
-                metric,
-                start - self.interval_s / 2.0,
-                end + self.interval_s / 2.0,
-            )
-            if not padded:
+            half = self.interval_s / 2.0
+            values = self._window(key, start - half, end + half)
+            if not values:
                 return None
-            return float(np.mean(padded))
         return float(np.mean(values))
 
     # -- introspection -------------------------------------------------------
     def components(self) -> set[str]:
-        return {cid for cid, _ in self._raw}
+        with self._cache_lock:
+            return {cid for cid, _ in self._raw}
 
     def metrics_for(self, component_id: str) -> set[str]:
-        return {metric for cid, metric in self._raw if cid == component_id}
+        with self._cache_lock:
+            return {metric for cid, metric in self._raw if cid == component_id}
 
     def keys(self) -> list[tuple[str, str]]:
-        return sorted(self._raw)
+        with self._cache_lock:
+            return sorted(self._raw)
 
     def __len__(self) -> int:
-        return sum(len(samples) for samples in self._raw.values())
+        with self._cache_lock:
+            return sum(len(column.times) for column in self._raw.values())

@@ -171,11 +171,7 @@ class TelemetryStore(MonitoringStores):
         labels (the label is part of the journalled run record), so a
         labelled bundle round-trips labelled.
         """
-        self.metrics.append_many(
-            (sample.time, cid, metric, sample.value)
-            for (cid, metric) in other.metrics.keys()
-            for sample in other.metrics._raw[(cid, metric)]
-        )
+        self.metrics.append_many(other.metrics.raw_observations())
         for run in other.runs.runs():
             self.runs.add(run)
         for scope, when, flat in other.config.snapshots():

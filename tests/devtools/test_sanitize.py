@@ -171,7 +171,7 @@ class TestInstrumentGuarded:
         with sanitize.recording() as seen:
             store = MetricStore()
             with store._cache_lock:
-                store._cache = {}
+                store._raw = {}
         assert seen == []
 
     def test_unannotated_fields_unchecked(self, enabled):

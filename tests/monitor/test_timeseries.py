@@ -204,3 +204,49 @@ class TestAppendMany:
         assert sum(
             1 for _ in store.series("V1", "readTime")
         ) == len({int(t // 300.0) for t in range(n_writers * per_writer)})
+
+
+class TestIntrospectionUnderAppends:
+    def test_introspection_races_new_key_appends(self):
+        """keys()/len()/components()/metrics_for() iterate the series map
+        under the store lock: appends that create new keys from other pool
+        threads must never make them raise ``dictionary changed size``."""
+        import sys
+        import threading
+
+        from repro.runtime import WorkerPool
+
+        store = make_store()
+        stop = threading.Event()
+        per_writer = 1500
+
+        def writer(wid: int) -> None:
+            for i in range(per_writer):
+                store.record(float(i), f"C{wid}-{i}", "m", 1.0)
+
+        def reader() -> int:
+            rounds = 0
+            while not stop.is_set():
+                store.keys()
+                len(store)
+                store.components()
+                store.metrics_for("C0-1")
+                rounds += 1
+            return rounds
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with WorkerPool(max_workers=4) as pool:
+                readers = [pool.submit(reader) for _ in range(2)]
+                writers = [pool.submit(writer, w) for w in range(2)]
+                try:
+                    for future in writers:
+                        future.result(timeout=60)
+                finally:
+                    stop.set()
+                assert all(future.result(timeout=60) > 0 for future in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(store.keys()) == 2 * per_writer
+        assert len(store) == 2 * per_writer
