@@ -324,7 +324,8 @@ class Environment:
         self.jobs: list[QueryJob] = []
         self.external: list[ExternalWorkload] = []
         self._scheduled: list[tuple[float, FaultAction]] = []
-        self._active_query_windows: list[tuple[float, float, dict[str, VolumeLoad]]] = []
+        #: Query runs still in flight: (start, stop, volume loads, CPU share).
+        self._active_query_windows: list[tuple[float, float, dict[str, VolumeLoad], float]] = []
         self._run_counter = 0
         self._last_duration: dict[str, float] = {}
         self._baseline_duration: dict[str, float] = {}
@@ -414,6 +415,11 @@ class Environment:
             self._target += duration_s
             while self._clock < self._target:
                 t = self._clock
+                # Finished runs load nothing from now on; dropping them keeps
+                # every tick's cost bounded by the runs in flight.
+                self._active_query_windows = [
+                    window for window in self._active_query_windows if window[1] > t
+                ]
                 self._fire_scheduled(t)
                 for job in self.jobs:
                     for run_at in job.due_at(t, t + self.tick_s):
@@ -537,8 +543,7 @@ class Environment:
         combined = self._merge(self._external_loads(run_at), qloads)
         sample = self.iosim.simulate(combined)
         latencies = {
-            v.component_id: sample.volume_read_latency(v.component_id)
-            for v in self.testbed.topology.volumes
+            vid: sample.volume_read_latency(vid) for vid in self.iosim.plan.volume_ids
         }
         self._run_counter += 1
         rng = np.random.default_rng(self.seed * 1_000_003 + self._run_counter)
@@ -599,19 +604,13 @@ class Environment:
             if start <= t < stop:
                 cpu += server_pct
         self.collector.collect_server(t, self.testbed.db_server_id, cpu_pct=min(cpu, 98.0))
-        total_bytes = sum(
-            sample.get(v.component_id, "bytesRead")
-            + sample.get(v.component_id, "bytesWritten")
-            for v in self.testbed.topology.volumes
-        )
-        for switch in self.testbed.topology.switches:
-            self.collector.collect_network(t, switch.component_id, total_bytes)
+        for switch_id in self.iosim.plan.switch_ids:
+            self.collector.collect_network(t, switch_id, sample.total_bytes)
         self.collector.collect_db_tick(t, locks_held=float(self.executor.locks.locks_held(t)))
 
     def _emit_degradation_events(self, t: float, sample: SanPerfSample) -> None:
         """User-defined trigger: volume response time over 3x its baseline."""
-        for volume in self.testbed.topology.volumes:
-            vid = volume.component_id
+        for vid in self.iosim.plan.volume_ids:
             baseline = self._baseline_latency.get(vid)
             if baseline is None or baseline <= 0:
                 continue

@@ -6,13 +6,14 @@ journalled; :class:`repro.storage.TelemetryStore` is the facade that wires
 all four to one backend and adds ``open(state_dir)`` durability.
 """
 
-from .timeseries import MetricStore, Sample
+from .timeseries import MetricRow, MetricStore, Sample
 from .events import DB_EVENT_KINDS, EventLog, EventRecord
 from .configstore import ConfigChange, ConfigStore, flatten
 from .runstore import RunStore
 from .collector import Collector, MetricTap, MonitoringStores, RunTap, DB_COMPONENT
 
 __all__ = [
+    "MetricRow",
     "MetricStore",
     "Sample",
     "EventLog",

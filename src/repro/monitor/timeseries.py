@@ -30,7 +30,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..storage.keyspaces import METRICS
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.backend import StorageBackend
 
-__all__ = ["Sample", "MetricStore"]
+__all__ = ["Sample", "MetricRow", "MetricStore"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +48,35 @@ class Sample:
 
     time: float
     value: float
+
+
+class MetricRow:
+    """One emitter's observations at one time, in a fixed key layout.
+
+    ``keys`` is a tuple of ``(component_id, metric)`` that the emitter reuses
+    from tick to tick, so consumers can resolve a layout once and then read
+    ``values`` by position.  Iterating a row yields the usual
+    ``(time, component_id, metric, value)`` observations in key order.
+    """
+
+    __slots__ = ("time", "keys", "values")
+
+    def __init__(
+        self, time: float, keys: tuple[tuple[str, str], ...], values: Sequence[float]
+    ) -> None:
+        if len(keys) != len(values):
+            raise ValueError(f"{len(keys)} keys but {len(values)} values")
+        self.time = time
+        self.keys = keys
+        self.values = values
+
+    def __iter__(self) -> Iterator[tuple[float, str, str, float]]:
+        time = self.time
+        for (component_id, metric), value in zip(self.keys, self.values):
+            yield time, component_id, metric, value
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def _bucket_noise(seed: int, key: tuple[str, str], bucket: int, sigma: float) -> float:
@@ -59,6 +88,10 @@ def _bucket_noise(seed: int, key: tuple[str, str], bucket: int, sigma: float) ->
     ).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "big"))
     return float(max(rng.normal(loc=1.0, scale=sigma), 0.0))
+
+
+def _journal_record(time: float, component_id: str, metric: str, value: float) -> dict:
+    return {"t": time, "k": f"{component_id}/{metric}", "c": component_id, "m": metric, "v": value}
 
 
 class _Column:
@@ -109,6 +142,11 @@ class MetricStore:
     seed: int = 0
     # guarded-by: _cache_lock
     _raw: dict[tuple[str, str], _Column] = field(default_factory=dict, repr=False)
+    #: Row layout -> the columns of its keys, by position (see append_many).
+    # guarded-by: _cache_lock
+    _layouts: dict[tuple[tuple[str, str], ...], list[_Column]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: Guards the columns *and* their memos: concurrent diagnoses
     #: (diagnose_many) read the store from worker threads while a read
     #: brings a memo up to date, and streaming supervisors append from other
@@ -144,41 +182,57 @@ class MetricStore:
         self.append_many(((time, component_id, metric, value),))
 
     def append_many(
-        self, observations: Iterable[tuple[float, str, str, float]]
+        self, observations: MetricRow | Iterable[tuple[float, str, str, float]]
     ) -> int:
-        """Batch-push ``(time, component_id, metric, value)`` observations.
+        """Batch-push a :class:`MetricRow` or ``(time, component_id, metric,
+        value)`` observations.
 
         The single ingestion code path: takes the store lock once for the
         whole batch (per-tick collector writes of tens of series stay cheap
         while remaining safe against concurrent :meth:`series` reads),
         journals each observation through the backend, and returns how many
         were appended.  Appends only extend the raw columns; the bucketed
-        view catches up on the next read.
+        view catches up on the next read.  A row's layout is resolved to its
+        columns once and cached, so later rows of that layout append by
+        position without a lookup per observation.
         """
         appended = 0
         journal: list[dict] | None = (
             [] if self.backend is not None and not self._replaying else None
         )
         with self._cache_lock:
-            raw = self._raw
-            for time, component_id, metric, value in observations:
-                value = float(value)
-                column = raw.get((component_id, metric))
-                if column is None:
-                    column = raw[(component_id, metric)] = _Column()
-                column.times.append(time)
-                column.values.append(value)
+            if type(observations) is MetricRow:
+                columns = self._layouts.get(observations.keys)
+                if columns is None:
+                    columns = []
+                    for key in observations.keys:
+                        column = self._raw.get(key)
+                        if column is None:
+                            column = self._raw[key] = _Column()
+                        columns.append(column)
+                    self._layouts[observations.keys] = columns
+                time = observations.time
+                for column, value in zip(columns, observations.values):
+                    column.times.append(time)
+                    column.values.append(value)
+                appended = len(observations)
                 if journal is not None:
-                    journal.append(
-                        {
-                            "t": time,
-                            "k": f"{component_id}/{metric}",
-                            "c": component_id,
-                            "m": metric,
-                            "v": value,
-                        }
+                    journal.extend(
+                        _journal_record(time, component_id, metric, float(value))
+                        for time, component_id, metric, value in observations
                     )
-                appended += 1
+            else:
+                raw = self._raw
+                for time, component_id, metric, value in observations:
+                    value = float(value)
+                    column = raw.get((component_id, metric))
+                    if column is None:
+                        column = raw[(component_id, metric)] = _Column()
+                    column.times.append(time)
+                    column.values.append(value)
+                    if journal is not None:
+                        journal.append(_journal_record(time, component_id, metric, value))
+                    appended += 1
             if journal:
                 self.backend.append_many(self.keyspace, journal)
         return appended

@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .components import ComponentType, Disk, FcPort, Hba, StoragePool, StorageSubsystem
+from .components import Disk, FcPort, Hba, StoragePool, StorageSubsystem
 from .topology import SanTopology
 
-__all__ = ["VolumeLoad", "SanPerfSample", "IoSimulator", "MAX_UTILISATION"]
+__all__ = ["VolumeLoad", "SanPerfSample", "TopologyPlan", "IoSimulator", "MAX_UTILISATION"]
 
 #: Utilisation is clamped below 1.0 so the latency curve stays finite.
 MAX_UTILISATION = 0.95
@@ -99,6 +99,8 @@ class SanPerfSample:
     """Flat metric sample: ``(component_id, metric) -> value`` for one tick."""
 
     values: dict[tuple[str, str], float] = field(default_factory=dict)
+    #: Bytes read plus written over every volume this tick (fabric traffic).
+    total_bytes: float = 0.0
 
     def set(self, component_id: str, metric: str, value: float) -> None:
         self.values[(component_id, metric)] = float(value)
@@ -120,6 +122,58 @@ class SanPerfSample:
         return self.get(volume_id, "writeTime")
 
 
+#: The load of a volume nothing reads or writes this tick.
+_IDLE = VolumeLoad()
+
+
+@dataclass(frozen=True)
+class TopologyPlan:
+    """Structural indices of one topology version, in topology order.
+
+    Holds components, never their attributes: ``failed``, ``max_iops``,
+    cache parameters and RAID level are read live on every tick, so only an
+    added or removed component or edge (a new :attr:`SanTopology.version`)
+    calls for a new plan.
+    """
+
+    version: int
+    disks: tuple[Disk, ...]
+    disk_ids: tuple[str, ...]
+    subsystem_ids: tuple[str, ...]
+    volume_ids: tuple[str, ...]
+    #: volume id -> (subsystem, pool, disks the volume is striped over)
+    volumes: dict[str, tuple[StorageSubsystem, StoragePool, tuple[Disk, ...]]]
+    #: (pool id, its disks) for every pool that has disks
+    pools: tuple[tuple[str, tuple[Disk, ...]], ...]
+    switch_ids: tuple[str, ...]
+    #: HBAs and FC ports: every one carries the total fabric traffic
+    port_ids: tuple[str, ...]
+
+    @classmethod
+    def build(cls, topo: SanTopology) -> "TopologyPlan":
+        disks = tuple(topo.disks)
+        volumes = {
+            v.component_id: (
+                topo.subsystem_of_volume(v.component_id),
+                topo.pool_of_volume(v.component_id),
+                tuple(topo.disks_of_volume(v.component_id)),
+            )
+            for v in topo.volumes
+        }
+        pools = ((p.component_id, tuple(topo.disks_of_pool(p.component_id))) for p in topo.pools)
+        return cls(
+            version=topo.version,
+            disks=disks,
+            disk_ids=tuple(d.component_id for d in disks),
+            subsystem_ids=tuple(s.component_id for s in topo.subsystems),
+            volume_ids=tuple(volumes),
+            volumes=volumes,
+            pools=tuple((pid, pool_disks) for pid, pool_disks in pools if pool_disks),
+            switch_ids=tuple(s.component_id for s in topo.switches),
+            port_ids=tuple(c.component_id for c in topo if isinstance(c, (Hba, FcPort))),
+        )
+
+
 class IoSimulator:
     """Evaluates the analytical model for one topology.
 
@@ -135,6 +189,7 @@ class IoSimulator:
         self._rebuild_slowdown: dict[str, float] = {}
         #: degraded fabric switches: id -> (extra transit ms, error frames)
         self._switch_degradation: dict[str, tuple[float, float]] = {}
+        self._plan: TopologyPlan | None = None
 
     @property
     def topology(self) -> SanTopology:
@@ -178,24 +233,36 @@ class IoSimulator:
         return set(self._switch_degradation)
 
     # -- core model ------------------------------------------------------
+    @property
+    def plan(self) -> TopologyPlan:
+        """The structural indices of the current topology version."""
+        plan = self._plan
+        if plan is None or plan.version != self._topology.version:
+            plan = self._plan = TopologyPlan.build(self._topology)
+        return plan
+
     def simulate(self, loads: Mapping[str, VolumeLoad]) -> SanPerfSample:
         """Compute one tick of per-component metrics for the offered loads."""
         topo = self._topology
+        plan = self.plan
         sample = SanPerfSample()
+        values = sample.values
 
         # 1. Cache filtering + fan-out of residual volume I/O onto disks.
-        disk_read_iops: dict[str, float] = {d.component_id: 0.0 for d in topo.disks}
+        disk_read_iops: dict[str, float] = dict.fromkeys(plan.disk_ids, 0.0)
         disk_write_iops: dict[str, float] = dict(disk_read_iops)
         volume_miss: dict[str, tuple[float, float]] = {}
-        cache_hits: dict[str, float] = {s.component_id: 0.0 for s in topo.subsystems}
+        cache_hits: dict[str, float] = dict.fromkeys(plan.subsystem_ids, 0.0)
         cache_refs: dict[str, float] = dict(cache_hits)
 
         for volume_id, load in loads.items():
-            if volume_id not in topo:
+            entry = plan.volumes.get(volume_id)
+            if entry is None:
+                if volume_id in topo:
+                    topo.subsystem_of_volume(volume_id)  # raises: not a volume
                 continue
-            subsystem = topo.subsystem_of_volume(volume_id)
-            pool = topo.pool_of_volume(volume_id)
-            disks = [d for d in topo.disks_of_volume(volume_id) if not d.failed]
+            subsystem, pool, volume_disks = entry
+            disks = [d for d in volume_disks if not d.failed]
             if not disks:
                 continue
             hit = min(
@@ -230,17 +297,17 @@ class IoSimulator:
 
         # 2. Per-disk utilisation and latency.
         disk_latency: dict[str, float] = {}
-        for disk in topo.disks:
+        for disk in plan.disks:
             did = disk.component_id
             capacity = disk.max_iops * self._rebuild_slowdown.get(did, 1.0)
             iops = disk_read_iops[did] + disk_write_iops[did] + rebuild_extra.get(did, 0.0)
             utilisation = min(iops / capacity, MAX_UTILISATION) if capacity > 0 else MAX_UTILISATION
             latency = disk.service_time_ms / max(1.0 - utilisation, 1.0 - MAX_UTILISATION)
             disk_latency[did] = latency
-            sample.set(did, "iops", iops)
-            sample.set(did, "utilisation", utilisation)
-            sample.set(did, "latency", latency)
-            sample.set(did, "rebuilding", 1.0 if did in self._rebuild_slowdown else 0.0)
+            values[(did, "iops")] = float(iops)
+            values[(did, "utilisation")] = float(utilisation)
+            values[(did, "latency")] = float(latency)
+            values[(did, "rebuilding")] = 1.0 if did in self._rebuild_slowdown else 0.0
 
         # 3. Volume metrics (front-end + back-end) and response times.
         # A degraded switch adds transit time to every volume response (the
@@ -248,11 +315,9 @@ class IoSimulator:
         fabric_extra_ms = sum(
             extra for extra, _frames in self._switch_degradation.values()
         )
-        for volume in topo.volumes:
-            vid = volume.component_id
-            load = loads.get(vid, VolumeLoad())
-            subsystem = topo.subsystem_of_volume(vid)
-            disks = [d for d in topo.disks_of_volume(vid) if not d.failed]
+        for vid, (subsystem, _pool, volume_disks) in plan.volumes.items():
+            load = loads.get(vid, _IDLE)
+            disks = [d for d in volume_disks if not d.failed]
             if disks:
                 avg_disk_latency = sum(disk_latency[d.component_id] for d in disks) / len(disks)
             else:
@@ -274,70 +339,56 @@ class IoSimulator:
                 + subsystem.write_cache_absorption * subsystem.cache_latency_ms
                 + (1.0 - subsystem.write_cache_absorption) * avg_disk_latency
             )
-            backend_read = sum(disk_read_iops[d.component_id] for d in disks)
-            backend_write = sum(disk_write_iops[d.component_id] for d in disks)
-            sample.set(vid, "readIO", backend_read)
-            sample.set(vid, "writeIO", backend_write)
-            sample.set(vid, "readTime", read_time)
-            sample.set(vid, "writeTime", write_time)
-            sample.set(vid, "frontendReadIO", load.read_iops)
-            sample.set(vid, "frontendWriteIO", load.write_iops)
-            sample.set(vid, "bytesRead", load.read_iops * load.read_kb * 1024.0)
-            sample.set(vid, "bytesWritten", load.write_iops * load.write_kb * 1024.0)
-            sample.set(vid, "seqReadRequests", load.read_iops * load.sequential_fraction)
-            sample.set(vid, "seqWriteRequests", load.write_iops * load.sequential_fraction)
-            sample.set(vid, "totalIOs", load.total_iops)
+            values[(vid, "readIO")] = float(sum(disk_read_iops[d.component_id] for d in disks))
+            values[(vid, "writeIO")] = float(sum(disk_write_iops[d.component_id] for d in disks))
+            values[(vid, "readTime")] = float(read_time)
+            values[(vid, "writeTime")] = float(write_time)
+            values[(vid, "frontendReadIO")] = float(load.read_iops)
+            values[(vid, "frontendWriteIO")] = float(load.write_iops)
+            values[(vid, "bytesRead")] = float(load.read_iops * load.read_kb * 1024.0)
+            values[(vid, "bytesWritten")] = float(load.write_iops * load.write_kb * 1024.0)
+            values[(vid, "seqReadRequests")] = float(load.read_iops * load.sequential_fraction)
+            values[(vid, "seqWriteRequests")] = float(load.write_iops * load.sequential_fraction)
+            values[(vid, "totalIOs")] = float(load.total_iops)
 
         # 4. Pool roll-ups.
-        for pool in topo.pools:
-            disks = topo.disks_of_pool(pool.component_id)
-            if not disks:
-                continue
-            pid = pool.component_id
-            sample.set(pid, "totalIOs", sum(sample.get(d.component_id, "iops") for d in disks))
-            sample.set(
-                pid,
-                "avgLatency",
-                sum(disk_latency[d.component_id] for d in disks) / len(disks),
+        for pid, disks in plan.pools:
+            values[(pid, "totalIOs")] = float(sum(values[(d.component_id, "iops")] for d in disks))
+            values[(pid, "avgLatency")] = float(
+                sum(disk_latency[d.component_id] for d in disks) / len(disks)
             )
-            sample.set(
-                pid,
-                "maxUtilisation",
-                max(sample.get(d.component_id, "utilisation") for d in disks),
+            values[(pid, "maxUtilisation")] = float(
+                max(values[(d.component_id, "utilisation")] for d in disks)
             )
 
         # 5. Subsystem + fabric roll-ups.
         total_bytes = sum(
-            sample.get(v.component_id, "bytesRead") + sample.get(v.component_id, "bytesWritten")
-            for v in topo.volumes
+            values[(vid, "bytesRead")] + values[(vid, "bytesWritten")] for vid in plan.volumes
         )
-        for subsystem in topo.subsystems:
-            sid = subsystem.component_id
+        sample.total_bytes = total_bytes
+        total_iops = float(sum(l.total_iops for l in loads.values()))
+        physical_reads = float(sum(miss for miss, _ in volume_miss.values()))
+        physical_writes = float(sum(w for _, w in volume_miss.values()))
+        for sid in plan.subsystem_ids:
             refs = cache_refs.get(sid, 0.0)
-            sample.set(sid, "totalIOs", sum(l.total_iops for l in loads.values()))
-            sample.set(sid, "cacheHitRate", cache_hits.get(sid, 0.0) / refs if refs else 0.0)
-            sample.set(
-                sid,
-                "physicalStorageReadOps",
-                sum(miss for miss, _ in volume_miss.values()),
+            values[(sid, "totalIOs")] = total_iops
+            values[(sid, "cacheHitRate")] = float(
+                cache_hits.get(sid, 0.0) / refs if refs else 0.0
             )
-            sample.set(
-                sid,
-                "physicalStorageWriteOps",
-                sum(w for _, w in volume_miss.values()),
-            )
+            values[(sid, "physicalStorageReadOps")] = physical_reads
+            values[(sid, "physicalStorageWriteOps")] = physical_writes
 
-        for switch in topo.switches:
-            swid = switch.component_id
+        switch_bytes = float(total_bytes / max(len(plan.switch_ids), 1))
+        for swid in plan.switch_ids:
             _extra, frames = self._switch_degradation.get(swid, (0.0, 0.0))
-            sample.set(swid, "bytesTransmitted", total_bytes / max(len(topo.switches), 1))
-            sample.set(swid, "bytesReceived", total_bytes / max(len(topo.switches), 1))
-            sample.set(swid, "errorFrames", frames)
-            sample.set(swid, "linkFailures", 0.0)
+            values[(swid, "bytesTransmitted")] = switch_bytes
+            values[(swid, "bytesReceived")] = switch_bytes
+            values[(swid, "errorFrames")] = float(frames)
+            values[(swid, "linkFailures")] = 0.0
 
-        for component in topo:
-            if isinstance(component, (Hba, FcPort)):
-                sample.set(component.component_id, "bytesTransferred", total_bytes)
+        port_bytes = float(total_bytes)
+        for port_id in plan.port_ids:
+            values[(port_id, "bytesTransferred")] = port_bytes
 
         return sample
 

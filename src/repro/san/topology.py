@@ -43,6 +43,9 @@ class SanTopology:
         self._components: dict[str, Component] = {}
         self._children: dict[str, list[str]] = {}
         self._parents: dict[str, list[str]] = {}
+        #: Bumped by every structural change (a component or an edge added or
+        #: removed), so derived indices know when to rebuild.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -55,6 +58,7 @@ class SanTopology:
         self._components[cid] = component
         self._children[cid] = []
         self._parents[cid] = []
+        self.version += 1
         return component
 
     def remove(self, component_id: str) -> Component:
@@ -67,6 +71,7 @@ class SanTopology:
         del self._children[component_id]
         del self._parents[component_id]
         del self._components[component_id]
+        self.version += 1
         return component
 
     def connect(self, upstream_id: str, downstream_id: str) -> None:
@@ -79,12 +84,14 @@ class SanTopology:
             return
         self._children[upstream_id].append(downstream_id)
         self._parents[downstream_id].append(upstream_id)
+        self.version += 1
 
     def disconnect(self, upstream_id: str, downstream_id: str) -> None:
         """Remove a downstream edge if present."""
         if downstream_id in self._children.get(upstream_id, []):
             self._children[upstream_id].remove(downstream_id)
             self._parents[downstream_id].remove(upstream_id)
+            self.version += 1
 
     # ------------------------------------------------------------------
     # lookups

@@ -4,7 +4,7 @@ The paper's workflow starts only after a human marks runs unsatisfactory.
 These detectors close that gap: they consume the *raw* monitoring stream
 (via :meth:`repro.monitor.Collector.add_metric_tap` /
 :meth:`~repro.monitor.Collector.add_run_tap`) and flag degradations online,
-each with O(1) state and O(1) work per sample:
+each with O(1) state and O(1) work per watched sample:
 
 * :class:`ThresholdSloDetector` — a fixed SLO limit with a consecutive-
   violation debounce;
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
 from ..db.executor import QueryRun
+from ..monitor.timeseries import MetricRow
 
 __all__ = [
     "Detection",
@@ -551,11 +552,43 @@ class DetectorBank:
     the bank should watch, or None to ignore it.  The bank materialises
     detectors lazily as series first appear — new components (e.g. a
     misconfigured volume created mid-simulation) are picked up automatically.
+
+    :meth:`observe_row` takes a whole :class:`~repro.monitor.MetricRow`: the
+    first row of a key layout goes through :meth:`observe` observation by
+    observation (creating detectors in order), after which the layout's
+    watched positions and their detectors are cached, so an ignored series
+    costs nothing.
     """
 
     factory: "DetectorFactory"
     detectors: dict[tuple[str, str], Detector] = field(default_factory=dict)
     _ignored: set[tuple[str, str]] = field(default_factory=set, repr=False)
+    #: Row layout -> (position, detector) of each watched series in it.
+    _watched: dict[tuple[tuple[str, str], ...], tuple[tuple[int, Detector], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def observe_row(self, row: MetricRow) -> list[Detection]:
+        """Feed one row; the detections it fired, in key order."""
+        fired = []
+        watched = self._watched.get(row.keys)
+        if watched is None:
+            for time, component_id, metric, value in row:
+                detection = self.observe(time, component_id, metric, value)
+                if detection is not None:
+                    fired.append(detection)
+            self._watched[row.keys] = tuple(
+                (position, self.detectors[key])
+                for position, key in enumerate(row.keys)
+                if key in self.detectors
+            )
+            return fired
+        time, values = row.time, row.values
+        for position, detector in watched:
+            detection = detector.update(time, values[position])
+            if detection is not None:
+                fired.append(detection)
+        return fired
 
     def observe(
         self, time: float, component_id: str, metric: str, value: float
@@ -595,6 +628,7 @@ class DetectorBank:
         series the factory now declines is skipped (its state is dropped).
         """
         self.detectors.clear()
+        self._watched.clear()
         self._ignored = {(cid, metric) for cid, metric in state.get("ignored", [])}
         for cid, metric, det_state in state.get("detectors", []):
             detector = self.factory(cid, metric)

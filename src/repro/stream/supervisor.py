@@ -49,6 +49,7 @@ from ..core.evaluation import evaluate_report
 from ..core.pipeline import DiagnosisPipeline, DiagnosisRequest, default_pipeline
 from ..lab.environment import Environment
 from ..lab.scenarios import Scenario, ScenarioBundle, ScenarioInfo
+from ..monitor.timeseries import MetricRow
 from ..obs import OBS_DIR, span
 from ..obs import clock as obs_clock
 from ..obs import metrics as obs_metrics
@@ -99,14 +100,12 @@ class WatchedEnvironment:
     _pending: list[Detection] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        self.env.collector.add_metric_tap(self._on_metric)
+        self.env.collector.add_metric_tap(self._on_row)
         self.env.collector.add_run_tap(self._on_run)
 
     # -- tap callbacks ---------------------------------------------------
-    def _on_metric(self, time: float, component_id: str, metric: str, value: float) -> None:
-        detection = self.bank.observe(time, component_id, metric, value)
-        if detection is not None:
-            self._pending.append(detection)
+    def _on_row(self, row: MetricRow) -> None:
+        self._pending.extend(self.bank.observe_row(row))
 
     def _on_run(self, run) -> None:
         detection = self.run_detector.observe_run(run)

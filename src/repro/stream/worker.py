@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..lab.scenarios import Scenario, ScenarioBundle
+from ..monitor.timeseries import MetricRow
 from ..obs import metrics as obs_metrics
 from ..obs import worker as obs_worker
 from .detectors import (
@@ -109,15 +110,11 @@ class _WorkerEnv:
             emit_recovery=recovery,
         )
         self._pending: list[Detection] = []
-        self.env.collector.add_metric_tap(self._on_metric)
+        self.env.collector.add_metric_tap(self._on_row)
         self.env.collector.add_run_tap(self._on_run)
 
-    def _on_metric(
-        self, time: float, component_id: str, metric: str, value: float
-    ) -> None:
-        detection = self.bank.observe(time, component_id, metric, value)
-        if detection is not None:
-            self._pending.append(detection)
+    def _on_row(self, row: MetricRow) -> None:
+        self._pending.extend(self.bank.observe_row(row))
 
     def _on_run(self, run) -> None:
         detection = self.run_detector.observe_run(run)

@@ -232,3 +232,48 @@ class TestAdvanceClock:
         assert not errors
         # 4 workers x 5 chunks x 600 s, every tick simulated exactly once
         assert env.clock == 4 * 5 * 600.0
+
+
+class TestQueryWindows:
+    """Finished query runs leave the per-tick load and CPU scans."""
+
+    def test_windows_bounded_by_runs_in_flight_over_seven_days(self):
+        env = small_env()
+        longest = 0
+        for _ in range(7 * 4):
+            env.advance(6 * 3600.0)
+            last_tick = env.clock - env.tick_s
+            windows = env._active_query_windows
+            in_flight = [
+                r for r in env.stores.runs.runs("q2-report") if r.end_time > last_tick
+            ]
+            assert len(windows) <= len(in_flight)
+            assert all(stop > last_tick for _start, stop, _loads, _cpu in windows)
+            longest = max(longest, len(windows))
+        assert len(env.stores.runs.runs("q2-report")) == 7 * 48
+        assert longest <= 2
+
+    #: SHA-256 over ``repr`` of every raw observation of each Table-1
+    #: scenario at 24 h, recorded before finished windows were dropped.
+    RAW_24H = {
+        "san-misconfiguration": "89d96aa9c888a33079447561c2622f326f2be585d38821ea04f045de0591e2fc",
+        "two-external-workloads": "2551973a73d1ca627f04d48fb0611591c1be9a6ceb895549a5c64e8ae497017d",
+        "data-property-change": "ac2d5a21ab532c15abd35034eac73311bed0ae29750fcc5eb1e39a6197aae1a9",
+        "concurrent-db-san": "19e31e893afde8d35d41bcf7e213877d41046b464d6acf80493d7d9c61625c59",
+        "lock-contention": "68cab298b69fa4d8892e6834654a6f0dc0c6362d8a742460361b243564e8c32d",
+    }
+
+    def test_24h_raw_observations_unchanged(self):
+        import hashlib
+
+        from repro.lab.scenarios import all_table1_scenarios
+
+        digests = {}
+        for scenario in all_table1_scenarios(hours=24.0):
+            env = scenario.build()
+            env.run(scenario.duration_s)
+            digest = hashlib.sha256()
+            for observation in env.stores.metrics.raw_observations():
+                digest.update(repr(observation).encode())
+            digests[scenario.info.name] = digest.hexdigest()
+        assert digests == self.RAW_24H

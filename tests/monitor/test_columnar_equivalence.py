@@ -149,7 +149,7 @@ def test_table1_scenario_bit_identical(scenario):
     env = scenario.build()
     store = env.stores.metrics
     oracle = oracle_for(store)
-    env.collector.add_metric_tap(oracle.record)
+    env.collector.add_metric_tap(lambda row: [oracle.record(*obs) for obs in row])
     env.run(scenario.duration_s)
 
     assert len(store) == sum(len(raw) for raw in oracle.raw.values())
@@ -177,7 +177,7 @@ def test_shared_pool_fabric_interleaved_reads_bit_identical(name):
     env = scenario.build()
     store = env.stores.metrics
     oracle = oracle_for(store)
-    env.collector.add_metric_tap(oracle.record)
+    env.collector.add_metric_tap(lambda row: [oracle.record(*obs) for obs in row])
     clock = 0.0
     chunk = 0
     while clock < scenario.duration_s:

@@ -185,7 +185,7 @@ class TestCollectorTap:
         stores = MonitoringStores()
         collector = Collector(stores=stores)
         seen = []
-        collector.add_metric_tap(lambda t, cid, m, v: seen.append((cid, m)))
+        collector.add_metric_tap(lambda row: seen.extend((cid, m) for _t, cid, m, _v in row))
         sample = IoSimulator(testbed.topology).simulate({"V1": VolumeLoad(read_iops=50)})
         collector.collect_san(0.0, sample)
         assert len(seen) == len(stores.metrics)
@@ -204,7 +204,7 @@ class TestCollectorTap:
         stores = MonitoringStores()
         collector = Collector(stores=stores)
         seen = []
-        collector.add_metric_tap(lambda t, cid, m, v: seen.append(m))
+        collector.add_metric_tap(lambda row: seen.extend(m for _t, _cid, m, _v in row))
         collector.collect_db_tick(0.0, locks_held=3.0)
         collector.collect_server(0.0, "srv-db", cpu_pct=10.0)
         assert "locksHeld" in seen and "cpuUsagePct" in seen
@@ -213,7 +213,7 @@ class TestCollectorTap:
         stores = MonitoringStores()
         collector = Collector(stores=stores)
         seen = []
-        tap = collector.add_metric_tap(lambda t, cid, m, v: seen.append(m))
+        tap = collector.add_metric_tap(lambda row: seen.extend(m for _t, _cid, m, _v in row))
         collector.collect_db_tick(0.0, locks_held=1.0)
         collector.remove_tap(tap)
         collector.collect_db_tick(60.0, locks_held=1.0)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.db.executor import OperatorRuntime, QueryRun
 from repro.db.plans import OpType, PlanOperator
+from repro.monitor.timeseries import MetricRow
 
 SCAN = OpType.SEQ_SCAN
 from repro.stream import (
@@ -248,3 +249,82 @@ class TestDetectorBank:
             bank.observe(i * 60.0, "V1", "readTime", 10.0)
         bank.observe(600.0, "Vprime", "readTime", 5.0)
         assert ("Vprime", "readTime") in bank.detectors
+
+
+class TestObserveRow:
+    """``observe_row`` is per-observation ``observe`` with layouts cached."""
+
+    @staticmethod
+    def factory():
+        return default_detector_factory(
+            metrics=("readTime", "writeIO", "utilisation", "cpuUsagePct", "locksHeld"),
+            k_sigma=3.0,
+            warmup=10,
+            min_consecutive=1,
+            emit_recovery=True,
+        )
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        """Every row of a 24 h run in which volume V' appears at 12 h."""
+        from repro.lab.scenarios import all_table1_scenarios
+
+        scenario = next(
+            s for s in all_table1_scenarios(hours=24.0) if s.info.name == "san-misconfiguration"
+        )
+        env = scenario.build()
+        rows = []
+        env.collector.add_metric_tap(rows.append)
+        env.run(scenario.duration_s)
+        return rows
+
+    def test_same_detections_in_same_order_as_observe(self, stream):
+        by_obs = DetectorBank(factory=self.factory())
+        by_row = DetectorBank(factory=self.factory())
+        expected, got = [], []
+        reloads = {len(stream) // 3, 2 * len(stream) // 3}
+        for index, row in enumerate(stream):
+            if index in reloads:
+                # A resumed checkpoint: fresh detector objects, cache cleared.
+                by_obs.load_state(by_obs.state_dict())
+                by_row.load_state(by_row.state_dict())
+            for observation in row:
+                detection = by_obs.observe(*observation)
+                if detection is not None:
+                    expected.append(detection)
+            got.extend(by_row.observe_row(row))
+
+        assert len(expected) > 50
+        assert got == expected
+        assert [d.details for d in got] == [d.details for d in expected]
+        assert by_row.state_dict() == by_obs.state_dict()
+        assert list(by_row.detectors) == list(by_obs.detectors)
+        assert ("Vprime", "readTime") in by_row.detectors
+        san_layouts = {row.keys for row in stream if ("V1", "readTime") in row.keys}
+        assert len(san_layouts) == 2  # before and after V' appeared
+
+    def test_new_detectors_created_through_observe(self, stream):
+        bank = DetectorBank(factory=self.factory())
+        calls = []
+        observe = bank.observe
+        bank.observe = lambda *obs: calls.append(obs[1:3]) or observe(*obs)
+        for row in stream:
+            bank.observe_row(row)
+        layouts = {row.keys for row in stream}
+        # Once per observation of each layout's first row, never again.
+        assert len(calls) == sum(len(keys) for keys in layouts)
+        assert set(bank.detectors) <= set(calls)
+
+    def test_load_state_clears_layout_cache(self):
+        bank = DetectorBank(factory=default_detector_factory(warmup=3, min_consecutive=1))
+        keys = (("V1", "readTime"), ("V1", "readIO"))
+        for i in range(5):
+            bank.observe_row(MetricRow(i * 60.0, keys, (10.0, 1.0)))
+        stale = bank.detectors[("V1", "readTime")]
+        bank.load_state(bank.state_dict())
+        fresh = bank.detectors[("V1", "readTime")]
+        assert fresh is not stale
+        before = fresh.state_dict()
+        bank.observe_row(MetricRow(300.0, keys, (10.5, 1.0)))
+        assert fresh.state_dict() != before
+        assert stale.state_dict() == before
